@@ -1,5 +1,7 @@
 #include "common/result.hpp"
 
+#include <ostream>
+
 namespace bs {
 
 const char* errc_name(Errc code) {
@@ -28,9 +30,13 @@ std::string Error::to_string() const {
   std::string out = errc_name(code);
   if (!message.empty()) {
     out += ": ";
-    out += message;
+    out += message.view();
   }
   return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const ErrorText& text) {
+  return os << text.view();
 }
 
 }  // namespace bs

@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
+#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -34,9 +37,42 @@ enum class Errc {
 /// Human-readable name of an error code (stable, used in logs and tests).
 const char* errc_name(Errc code);
 
+/// Error message text. A string literal is held by pointer, so making,
+/// copying or moving an error with a fixed message never allocates; only
+/// text formatted at run time is owned. The literal constructor is
+/// consteval: a run-time `const char*` (whose buffer may not outlive the
+/// error) does not compile and must be passed as a std::string.
+class ErrorText {
+ public:
+  ErrorText() = default;
+  consteval ErrorText(const char* literal) : literal_(literal) {}
+  ErrorText(std::string text) : owned_(std::move(text)) {}
+
+  [[nodiscard]] std::string_view view() const {
+    return owned_ ? std::string_view(*owned_) : std::string_view(literal_);
+  }
+  operator std::string_view() const { return view(); }
+  operator std::string() const { return std::string(view()); }
+
+  [[nodiscard]] bool empty() const { return view().empty(); }
+  [[nodiscard]] std::size_t find(std::string_view s,
+                                 std::size_t pos = 0) const {
+    return view().find(s, pos);
+  }
+  friend bool operator==(const ErrorText& a, std::string_view b) {
+    return a.view() == b;
+  }
+
+ private:
+  const char* literal_{""};
+  std::optional<std::string> owned_;
+};
+
+std::ostream& operator<<(std::ostream& os, const ErrorText& text);
+
 struct Error {
   Errc code{Errc::internal};
-  std::string message;
+  ErrorText message;
 
   std::string to_string() const;
 };
@@ -47,7 +83,7 @@ class [[nodiscard]] Result {
  public:
   Result(T value) : data_(std::in_place_index<0>, std::move(value)) {}
   Result(Error err) : data_(std::in_place_index<1>, std::move(err)) {}
-  Result(Errc code, std::string message = {})
+  Result(Errc code, ErrorText message = {})
       : data_(std::in_place_index<1>, Error{code, std::move(message)}) {}
 
   [[nodiscard]] bool ok() const { return data_.index() == 0; }
@@ -91,7 +127,7 @@ class [[nodiscard]] Result<void> {
  public:
   Result() = default;
   Result(Error err) : err_(std::move(err)) {}
-  Result(Errc code, std::string message = {})
+  Result(Errc code, ErrorText message = {})
       : err_(Error{code, std::move(message)}) {}
 
   [[nodiscard]] bool ok() const { return !err_.has_value(); }

@@ -205,7 +205,8 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_attempt(
     sim_.schedule_in(opts.timeout, std::move(watcher));
   }
   co_await state->done.wait();
-  co_return state->result;
+  // Once settled, the watcher and the body look only at `settled`.
+  co_return std::move(state->result);
 }
 
 sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,

@@ -10,11 +10,66 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
 namespace bs::sim {
+
+/// FIFO of parked waiters. Nearly every queue holds at most one waiter (an
+/// RPC attempt's completion event, an idle actor's semaphore), so the first
+/// one lives inline and only a second concurrent waiter spills the queue
+/// into a heap ring buffer, which is kept for reuse once drained. The inline
+/// slot is filled only when the queue is empty, so it is always the front.
+template <class T>
+class WaiterFifo {
+ public:
+  WaiterFifo() = default;
+  WaiterFifo(const WaiterFifo&) = delete;
+  WaiterFifo& operator=(const WaiterFifo&) = delete;
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  void push_back(T v) {
+    if (size_ == 0) {
+      first_ = std::move(v);
+    } else {
+      const std::size_t spilled = size_ - 1;
+      if (spilled == ring_.size()) grow();
+      ring_[(head_ + spilled) & (ring_.size() - 1)] = std::move(v);
+    }
+    ++size_;
+  }
+
+  T pop_front() {
+    assert(size_ > 0);
+    T out = std::move(first_);
+    if (--size_ > 0) {
+      // The oldest spilled waiter moves up into the inline slot.
+      first_ = std::move(ring_[head_]);
+      head_ = (head_ + 1) & (ring_.size() - 1);
+    }
+    return out;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> next(ring_.empty() ? 4 : ring_.size() * 2);
+    for (std::size_t i = 0; i + 1 < size_; ++i) {
+      next[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(next);
+    head_ = 0;
+  }
+
+  T first_{};
+  std::size_t size_{0};
+  std::size_t head_{0};  ///< ring_ index of the oldest spilled waiter
+  std::vector<T> ring_;  ///< power-of-two capacity; waiters 2..size_
+};
 
 /// One-shot broadcast event: set() wakes every current and future waiter.
 class Event {
@@ -28,10 +83,7 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) {
-      sim_->schedule_resume(h);
-    }
-    waiters_.clear();
+    while (!waiters_.empty()) sim_->schedule_resume(waiters_.pop_front());
   }
 
   auto wait() {
@@ -49,7 +101,7 @@ class Event {
  private:
   Simulation* sim_;
   bool set_{false};
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterFifo<std::coroutine_handle<>> waiters_;
 };
 
 /// Counting semaphore with FIFO handoff (a release is given directly to the
@@ -84,10 +136,8 @@ class Semaphore {
 
   void release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
       // The permit transfers directly to the woken waiter.
-      sim_->schedule_resume(h);
+      sim_->schedule_resume(waiters_.pop_front());
     } else {
       ++count_;
     }
@@ -96,7 +146,7 @@ class Semaphore {
  private:
   Simulation* sim_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterFifo<std::coroutine_handle<>> waiters_;
 };
 
 /// RAII helper: `co_await sem.acquire();  SemGuard g(sem);`
@@ -130,8 +180,7 @@ class Mailbox {
 
   void push(T item) {
     if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      const Waiter w = waiters_.pop_front();
       w.slot->emplace(std::move(item));
       sim_->schedule_resume(w.handle);
     } else {
@@ -164,13 +213,13 @@ class Mailbox {
 
  private:
   struct Waiter {
-    std::coroutine_handle<> handle;
-    std::optional<T>* slot;
+    std::coroutine_handle<> handle{};
+    std::optional<T>* slot{nullptr};
   };
 
   Simulation* sim_;
   std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  WaiterFifo<Waiter> waiters_;
 };
 
 /// Fork/join helper: launch N tasks, `co_await wg.wait()` for all of them.
@@ -187,10 +236,7 @@ class WaitGroup {
   void done() {
     assert(count_ > 0);
     if (--count_ == 0) {
-      for (auto h : waiters_) {
-        sim_.schedule_resume(h);
-      }
-      waiters_.clear();
+      while (!waiters_.empty()) sim_.schedule_resume(waiters_.pop_front());
     }
   }
 
@@ -222,7 +268,7 @@ class WaitGroup {
 
   Simulation& sim_;
   int count_{0};
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterFifo<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace bs::sim

@@ -80,6 +80,7 @@ struct VersionInfo {
   Version version{0};
   std::uint64_t size{0};         ///< logical blob size in bytes
   std::uint64_t root_chunks{0};  ///< segment-tree root coverage (chunks, pow2)
+  std::uint64_t written{0};      ///< bytes this version's write covered
 };
 
 /// Static + latest-published state of a blob.

@@ -98,6 +98,7 @@ void VersionManager::apply_record(const VmRecord& rec) {
       info.version = rec.version;
       info.size = rec.bytes;
       info.root_chunks = rec.extent.root_chunks;
+      info.written = rec.written;
       b.published.insert_or_assign(rec.version, info);
       b.latest = rec.version;  // publish records land in version order
       b.latest_size = info.size;
@@ -181,6 +182,7 @@ VersionManager::encode_checkpoint() const {
       pub.kind = VmRecord::Kind::publish;
       pub.version = v;
       pub.bytes = info.size;
+      pub.written = info.written;
       pub.extent.root_chunks = info.root_chunks;
       push(pub);
     }
@@ -826,6 +828,7 @@ void VersionManager::publish_one(BlobState& b, Version v, PendingWrite& w) {
   info.version = v;
   info.size = std::max(b.latest_size, w.end_bytes);
   info.root_chunks = w.root_chunks;
+  info.written = w.end_bytes - w.extent.first_chunk * b.chunk_size;
   b.published.emplace(v, info);
   b.latest = v;
   b.latest_size = info.size;
@@ -837,6 +840,7 @@ void VersionManager::publish_one(BlobState& b, Version v, PendingWrite& w) {
     rec.blob = b.id.value;
     rec.version = v;
     rec.bytes = info.size;
+    rec.written = info.written;
     rec.extent = w.extent;
     journal_.append(rec, record_bytes(rec));
   }
@@ -854,11 +858,13 @@ void VersionManager::publish_one(BlobState& b, Version v, PendingWrite& w) {
     ev.blob = b.id;
     ev.version = v;
     ev.size = info.size;
-    ev.written_bytes = w.end_bytes - w.extent.first_chunk * b.chunk_size;
+    ev.written_bytes = info.written;
     ev.writer = w.writer;
     publish_observer_(ev);
   }
-  if (geo_hooks_.published) geo_hooks_.published(b.id, v, info.size);
+  // Custody bundles carry this version's bytes. The blob's size would
+  // charge every small append to a large blob the whole blob again.
+  if (geo_hooks_.published) geo_hooks_.published(b.id, v, info.written);
 }
 
 std::vector<VersionManager::PublishedVersion>
@@ -867,7 +873,7 @@ VersionManager::published_snapshot() const {
   for (const auto& [id, b] : blobs_) {
     if (b.deleted) continue;
     for (const auto& [v, info] : b.published) {
-      out.push_back(PublishedVersion{b.id, v, info.size});
+      out.push_back(PublishedVersion{b.id, v, info.written});
     }
   }
   return out;

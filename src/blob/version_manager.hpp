@@ -63,9 +63,10 @@ class VersionManager {
 
   /// Geo-replication hooks: version lifecycle events the replication plane
   /// mirrors to remote sites. `published` fires when a version becomes
-  /// visible, `trimmed` after a version is removed (per version, after the
-  /// trim's journal commit), `deleted` after a blob is tombstoned. The
-  /// plane's custody dedup + reconciliation absorb replays of any of them.
+  /// visible, with the bytes that version wrote (not the blob's size),
+  /// `trimmed` after a version is removed (per version, after the trim's
+  /// journal commit), `deleted` after a blob is tombstoned. The plane's
+  /// custody dedup + reconciliation absorb replays of any of them.
   struct GeoHooks {
     std::function<void(BlobId, Version, std::uint64_t)> published;
     std::function<void(BlobId, Version)> trimmed;
@@ -78,7 +79,7 @@ class VersionManager {
   struct PublishedVersion {
     BlobId blob;
     Version version{0};
-    std::uint64_t size{0};
+    std::uint64_t written{0};  ///< bytes the version wrote
   };
   [[nodiscard]] std::vector<PublishedVersion> published_snapshot() const;
 
@@ -113,6 +114,7 @@ class VersionManager {
     WriteExtent extent{};
     std::uint64_t bytes{0};  ///< start: reserved end; publish: size;
                              ///< frontier: reserved_end
+    std::uint64_t written{0};  ///< publish: bytes the version wrote
     std::uint64_t chunk_size{0};
     std::uint32_t replication{1};
     SimTime created_at{0};

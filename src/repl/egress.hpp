@@ -73,8 +73,9 @@ class SiteEgress {
   void set_progress_hook(ProgressHook fn) { progress_ = std::move(fn); }
 
   // ------------------------------------------------------------- origin API
-  /// Records a publication at the origin (authoritative map + size table)
-  /// without queueing custody. Durable via the egress journal.
+  /// Records a publication at the origin (authoritative map + the bytes
+  /// the version wrote) without queueing custody. Durable via the egress
+  /// journal.
   void note_published(BlobId blob, blob::Version v, std::uint64_t bytes);
   /// Parks a publish bundle for `dst`. Returns what the queue did with it.
   EnqueueOutcome enqueue_publish(net::SiteId dst, BlobId blob,

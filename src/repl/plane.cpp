@@ -70,11 +70,11 @@ void ReplicationPlane::attach_version_manager(blob::VersionManager& vm) {
   vm_ = &vm;
   blob::VersionManager::GeoHooks hooks;
   hooks.published = [this](BlobId blob, blob::Version v,
-                           std::uint64_t size) {
+                           std::uint64_t written) {
     SiteEgress& o = egress(origin_);
-    o.note_published(blob, v, size);
+    o.note_published(blob, v, written);
     for (auto& [s, ps] : sites_) {
-      if (s != origin_) o.enqueue_publish(s, blob, v, size);
+      if (s != origin_) o.enqueue_publish(s, blob, v, written);
     }
   };
   hooks.trimmed = [this](BlobId blob, blob::Version v) {
@@ -169,7 +169,7 @@ void ReplicationPlane::reprime_origin() {
   if (vm_ == nullptr) return;
   SiteEgress& o = egress(origin_);
   for (const auto& pv : vm_->published_snapshot()) {
-    o.note_published(pv.blob, pv.version, pv.size);
+    o.note_published(pv.blob, pv.version, pv.written);
   }
   obs::count("repl.reprimes");
 }

@@ -26,10 +26,6 @@ namespace bs::sim {
 template <class T>
 class WaiterFifo {
  public:
-  WaiterFifo() = default;
-  WaiterFifo(const WaiterFifo&) = delete;
-  WaiterFifo& operator=(const WaiterFifo&) = delete;
-
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 

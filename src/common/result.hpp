@@ -51,7 +51,6 @@ class ErrorText {
   [[nodiscard]] std::string_view view() const {
     return owned_ ? std::string_view(*owned_) : std::string_view(literal_);
   }
-  operator std::string_view() const { return view(); }
   operator std::string() const { return std::string(view()); }
 
   [[nodiscard]] bool empty() const { return view().empty(); }

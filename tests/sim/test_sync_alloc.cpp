@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "alloc_probe.hpp"
@@ -134,7 +135,7 @@ TEST(ErrorAlloc, LiteralMessageCopiesAndMovesWithoutAllocating) {
     Result<void> r_moved = std::move(r_copy);
     Result<int> v = moved;
     Result<int> v_copy = v;
-    same_text = v_copy.error().message == e.message;
+    same_text = v_copy.error().message == e.message.view();
     failed = !r_moved.ok();
   });
   EXPECT_EQ(n, 0u);

@@ -167,8 +167,8 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   // Frame-pool discipline across the measured window: every coroutine frame
-  // the RPC path spawned (client task, call attempt, handler, timeout
-  // watcher chain) must come from the pool's free lists — zero frame-sized
+  // the RPC path spawned (client task, call attempt, call body, handler)
+  // must come from the pool's free lists — zero frame-sized
   // trips to the heap per op once the pool is warm.
   state.counters["frame_heap_allocs_per_op"] =
       static_cast<double>(sim::FramePool::instance().stats().heap_allocs -

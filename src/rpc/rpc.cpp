@@ -190,23 +190,90 @@ sim::Task<Result<detail::AnyPtr>> Cluster::call_attempt(
   auto state = std::make_shared<CallState>(sim_);
   sim_.spawn(call_body(state, &src, node(dst), type, name, std::move(req),
                        req_bytes, payload_to_disk, opts));
-  if (opts.timeout > 0 && opts.timeout < simtime::kInfinite) {
-    auto watcher = [this, state] {
-      if (!state->settled) {
-        state->settled = true;
-        state->result = Error{Errc::timeout, "rpc timeout"};
-        ++timeouts_;
-        obs::count("rpc.timeouts");
-        state->done.set();
-      }
-    };
-    static_assert(sim::InlineCallback::fits_inline<decltype(watcher)>(),
-                  "per-call timeout watcher must not allocate");
-    sim_.schedule_in(opts.timeout, std::move(watcher));
+  // A call that settled inside spawn() has nothing to time out.
+  std::optional<TimeoutSlot> slot;
+  if (!state->settled && opts.timeout > 0 &&
+      opts.timeout < simtime::kInfinite) {
+    slot = queue_timeout(state, opts.timeout);
   }
   co_await state->done.wait();
-  // Once settled, the watcher and the body look only at `settled`.
+  if (slot) release_timeout(*slot);
+  // Once settled, the timeout FIFO and the body look only at `settled`.
   co_return std::move(state->result);
+}
+
+Cluster::TimeoutSlot Cluster::queue_timeout(std::shared_ptr<CallState> state,
+                                            SimDuration timeout) {
+  std::size_t f = 0;
+  while (f < timeout_fifos_.size() && timeout_fifos_[f].timeout != timeout) {
+    ++f;
+  }
+  if (f == timeout_fifos_.size()) {
+    timeout_fifos_.emplace_back();
+    timeout_fifos_.back().timeout = timeout;
+  }
+  TimeoutFifo& q = timeout_fifos_[f];
+  if (q.tail - q.head == q.ring.size()) {
+    // Grow by doubling; entries keep their absolute indices.
+    std::vector<TimeoutFifo::Entry> grown(q.ring.empty() ? 16
+                                                         : q.ring.size() * 2);
+    for (std::uint64_t p = q.head; p != q.tail; ++p) {
+      grown[p & (grown.size() - 1)] = std::move(q.at(p));
+    }
+    q.ring = std::move(grown);
+  }
+  const bool was_empty = q.empty();
+  const std::uint64_t pos = q.tail++;
+  q.at(pos) = TimeoutFifo::Entry{sim_.now() + timeout, sim_.reserve(),
+                                 std::move(state)};
+  if (was_empty) arm(f);
+  return TimeoutSlot{f, pos};
+}
+
+void Cluster::release_timeout(TimeoutSlot slot) {
+  TimeoutFifo& q = timeout_fifos_[slot.fifo];
+  if (slot.pos < q.head) return;  // already popped by expire_timeouts()
+  q.at(slot.pos).state.reset();
+  if (slot.pos != q.head) return;
+  drop_settled(q);
+  if (q.empty()) sim_.cancel_reserved(q.armed);
+}
+
+void Cluster::drop_settled(TimeoutFifo& q) {
+  while (!q.empty()) {
+    TimeoutFifo::Entry& e = q.at(q.head);
+    if (e.state && !e.state->settled) return;
+    e.state.reset();
+    ++q.head;
+  }
+}
+
+void Cluster::arm(std::size_t f) {
+  TimeoutFifo& q = timeout_fifos_[f];
+  const TimeoutFifo::Entry& e = q.at(q.head);
+  q.armed = e.ticket;
+  auto expire = [this, f] { expire_timeouts(f); };
+  static_assert(sim::InlineCallback::fits_inline<decltype(expire)>(),
+                "timeout FIFO event must not allocate");
+  sim_.schedule_reserved(e.ticket, e.deadline, std::move(expire));
+}
+
+void Cluster::expire_timeouts(std::size_t f) {
+  TimeoutFifo& q = timeout_fifos_[f];
+  drop_settled(q);
+  // The armed entry may have settled and been dropped already; then the
+  // first entry is a later call whose deadline is still ahead.
+  if (!q.empty() && q.at(q.head).ticket.seq == q.armed.seq) {
+    std::shared_ptr<CallState> state = std::move(q.at(q.head).state);
+    ++q.head;
+    state->settled = true;
+    state->result = Error{Errc::timeout, "rpc timeout"};
+    ++timeouts_;
+    obs::count("rpc.timeouts");
+    state->done.set();
+    drop_settled(q);
+  }
+  if (!q.empty()) arm(f);
 }
 
 sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
@@ -215,7 +282,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
                                    std::uint64_t req_bytes,
                                    bool payload_to_disk, CallOptions opts) {
   auto settle = [&](Result<detail::AnyPtr> r) {
-    if (state->settled) return;  // lost to the timeout watcher
+    if (state->settled) return;  // lost to the timeout
     state->settled = true;
     state->result = std::move(r);
     state->done.set();
@@ -244,7 +311,7 @@ sim::Task<void> Cluster::call_body(std::shared_ptr<CallState> state,
   if (link_fault_) {
     const LinkFault lf = link_fault_(src->site(), dst->site());
     if (lf.drop) {
-      // Request lost on the wire: never settles, the timeout watcher fires.
+      // Request lost on the wire: never settles, the timeout fires.
       ++messages_dropped_;
       obs::count("rpc.messages_dropped");
       if (ts) {

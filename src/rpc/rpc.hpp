@@ -313,12 +313,59 @@ class Cluster {
   }
 
  private:
+  /// One attempt's outcome, shared by the attempt, its call body and its
+  /// timeout-FIFO entry. Whichever settles first (body or timeout) sets
+  /// `settled` and `result`; the other then leaves it alone.
   struct CallState {
     explicit CallState(sim::Simulation& sim) : done(sim) {}
     sim::Event done;
     bool settled{false};
     Result<detail::AnyPtr> result{Errc::internal};
   };
+
+  /// Pending attempts sharing one timeout duration, in issue order. Equal
+  /// durations make issue order deadline order, and the entries' tickets
+  /// ascend too, so the FIFO is sorted by (deadline, ticket). One kernel
+  /// event is armed per non-empty FIFO, at the key of its first entry when
+  /// armed; when it runs it times out that entry if the call is unsettled,
+  /// drops settled entries and re-arms for the next one. Each timeout thus
+  /// fires at the (time, seq, lane) key an event scheduled at issue time
+  /// for now + timeout would have had: the order of one timer per call.
+  struct TimeoutFifo {
+    struct Entry {
+      SimTime deadline{0};
+      sim::Simulation::Ticket ticket{};
+      std::shared_ptr<CallState> state;  ///< null once the attempt settled
+    };
+    SimDuration timeout{0};
+    std::vector<Entry> ring;  ///< power-of-two capacity
+    std::uint64_t head{0};    ///< absolute index of the first entry
+    std::uint64_t tail{0};    ///< absolute index one past the last
+    sim::Simulation::Ticket armed{};  ///< the queued event; valid iff non-empty
+
+    [[nodiscard]] bool empty() const { return head == tail; }
+    Entry& at(std::uint64_t pos) { return ring[pos & (ring.size() - 1)]; }
+  };
+  /// Where an attempt's timeout entry sits: FIFO index and absolute slot.
+  struct TimeoutSlot {
+    std::size_t fifo;
+    std::uint64_t pos;
+  };
+
+  /// Queues `state` on the FIFO for `timeout` under a fresh reservation,
+  /// arming the FIFO's event if it was empty.
+  TimeoutSlot queue_timeout(std::shared_ptr<CallState> state,
+                            SimDuration timeout);
+  /// Called once the attempt's `done` is set: frees its entry (and the call
+  /// state with it), drops the settled prefix, and cancels the armed event
+  /// when nothing is left to time out.
+  void release_timeout(TimeoutSlot slot);
+  /// The armed event of FIFO `f`.
+  void expire_timeouts(std::size_t f);
+  /// Pops settled entries off the front of `q`.
+  static void drop_settled(TimeoutFifo& q);
+  /// Schedules the FIFO's event under its first entry's key.
+  void arm(std::size_t f);
 
   /// Retry loop around `call_attempt`, driven by the effective RetryPolicy.
   // bslint: allow(coro-ref-param): src is cluster-owned for the whole sim
@@ -327,8 +374,9 @@ class Cluster {
       detail::AnyPtr req, std::uint64_t req_bytes, bool payload_to_disk,
       CallOptions opts);
 
-  /// One attempt: spawns the call body and races it against the timeout.
-  /// Options are by value (coroutine-frame copy, bslint coro-ref-param).
+  /// One attempt: spawns the call body and races it against the timeout,
+  /// queued on the timeout FIFO for opts.timeout. Options are by value
+  /// (coroutine-frame copy, bslint coro-ref-param).
   // bslint: allow(coro-ref-param): src is cluster-owned for the whole sim
   sim::Task<Result<detail::AnyPtr>> call_attempt(
       Node& src, NodeId dst, std::type_index type, const char* name,
@@ -359,6 +407,7 @@ class Cluster {
   LinkFaultFn link_fault_;
   RetryPolicy default_retry_{};
   Rng retry_rng_;
+  std::vector<TimeoutFifo> timeout_fifos_;  ///< one per distinct timeout
   std::uint64_t calls_started_{0};
   std::uint64_t timeouts_{0};
   std::uint64_t calls_retried_{0};

@@ -47,6 +47,91 @@ void Simulation::schedule_resume(std::coroutine_handle<> h) {
   push_event(exec_lane_, now_, next_seq(exec_par_), Callback(ResumeThunk{h}));
 }
 
+Simulation::Ticket Simulation::reserve() {
+  assert(!in_worker() && "reservations are serial-only");
+  return Ticket{next_seq(false), exec_lane_};
+}
+
+void Simulation::schedule_reserved(Ticket tk, SimTime t, Callback cb) {
+  assert(!in_worker() && "reservations are serial-only");
+  assert(t >= now_ && "cannot schedule events in the past");
+  Lane& ln = lanes_[tk.lane];
+  ++ln.untagged;
+  // Same tiers as push_event, except that an event at the current instant
+  // goes to the heap: the ring is FIFO, and this key is older than the
+  // entries it may already hold.
+  if (lanes_.size() > 1 && t > now_ && t >= ln.far_bar) {
+    far_push(ln, t, tk.seq, std::move(cb));
+  } else {
+    heap_push(ln, t, tk.seq, std::move(cb));
+  }
+  sync_head(tk.lane);
+}
+
+void Simulation::cancel_reserved(Ticket tk) {
+  assert(!in_worker() && "reservations are serial-only");
+  Lane& ln = lanes_[tk.lane];
+  if (!remove_queued(ln, tk.seq)) return;
+  --ln.untagged;
+  if (tk.seq != ln.head_seq) return;  // sequence numbers are unique
+  // The cancelled event was the lane head. With the near tiers empty the
+  // new head is the far pool's minimum, found by a scan: a refill may not
+  // run here, under a stage event that could be executing in place.
+  SimTime ht;
+  std::uint64_t hs;
+  if (peek_near(ln, now_, &ht, &hs) < 0) {
+    ht = simtime::kInfinite;
+    hs = kNoSeq;
+    for (const FarKey& k : ln.far_keys) {
+      const std::uint64_t m = k.seq & kSeqMask;
+      if (k.seq != kNoSeq && (k.time < ht || (k.time == ht && m < hs))) {
+        ht = k.time;
+        hs = m;
+      }
+    }
+  }
+  ln.head_time = ht;
+  ln.head_seq = hs;
+  sync_head(tk.lane);
+}
+
+bool Simulation::remove_queued(Lane& ln, std::uint64_t seq) {
+  for (std::size_t i = 0; i < ln.heap.size(); ++i) {
+    if ((ln.heap[i].seq & kSeqMask) != seq) continue;
+    const std::uint32_t slot = ln.heap[i].slot;
+    ln.slots[slot] = Callback{};
+    ln.free_slots.push_back(slot);
+    ln.heap[i] = ln.heap.back();
+    ln.heap.pop_back();
+    if (i < ln.heap.size()) {
+      if (i > 0 && earlier(ln.heap[i], ln.heap[(i - 1) / 4])) {
+        sift_up(ln, i);
+      } else {
+        sift_down(ln, i);
+      }
+    }
+    return true;
+  }
+  // Only entries from stage_head on are searched, so an executing stage
+  // event (at stage_head - 1) never moves.
+  for (std::size_t i = ln.stage_head; i < ln.stage.size(); ++i) {
+    if ((ln.stage[i].seq & kSeqMask) != seq) continue;
+    ln.stage.erase(ln.stage.begin() + static_cast<std::ptrdiff_t>(i));
+    return true;
+  }
+  for (std::size_t i = 0; i < ln.far_keys.size(); ++i) {
+    if (ln.far_keys[i].seq == kNoSeq ||
+        (ln.far_keys[i].seq & kSeqMask) != seq) {
+      continue;
+    }
+    ln.far_keys[i] = FarKey{simtime::kInfinite, kNoSeq};
+    ln.far_cbs[i] = Callback{};
+    ++ln.far_dead;
+    return true;
+  }
+  return false;
+}
+
 void Simulation::configure_sites(std::size_t sites, SimDuration lookahead) {
   if (lanes_.size() != 1) {
     // A second cluster on the same simulation must agree on the shard

@@ -189,6 +189,34 @@ class Simulation {
   }
   void schedule_resume(std::coroutine_handle<> h);
 
+  // ------------------------------------------------------- reserved events
+
+  /// A place in the global (time, seq) order taken before the event's time
+  /// and callback are known: the lane and sequence number a schedule_at()
+  /// issued at reserve() time would have stamped.
+  struct Ticket {
+    std::uint64_t seq{~0ull};
+    std::size_t lane{0};
+  };
+
+  /// Takes the next sequence number in the executing event's lane without
+  /// queueing anything. The reserved event is never parallel-safe (the
+  /// mark is cleared), and reserving is serial-only.
+  [[nodiscard]] Ticket reserve();
+
+  /// Queues `cb` at time t under `tk`'s key: it runs after every event
+  /// scheduled before the reservation and before every event at t
+  /// scheduled after it. Each ticket is scheduled at most once, and
+  /// (t, tk) must not precede the executing event. Reserved events go to
+  /// the heap (or the far pool beyond far_bar), never to the same-time
+  /// ring, whose FIFO order assumes ascending sequence numbers.
+  void schedule_reserved(Ticket tk, SimTime t, Callback cb);
+
+  /// Removes the not-yet-run event schedule_reserved(tk, ...) queued; the
+  /// callback is destroyed without running. A linear search of the lane,
+  /// meant for queues kept short by their owner.
+  void cancel_reserved(Ticket tk);
+
   // ------------------------------------------------------------- site lanes
 
   /// Shards the queue into `sites` per-site lanes (plus the control lane 0)
@@ -205,14 +233,13 @@ class Simulation {
   /// number of pending events per site lane. A population-scale workload
   /// (LiteClientPool) declares its size so sharded lanes engage the far
   /// staging ladder up front; RPC-style services never call it and run on
-  /// the pure per-lane heaps. The queue cannot make this call from its own
-  /// shape: an RPC-heavy service keeps hundreds of thousands of far-future
-  /// timeout watchers queued — size, span and depth histograms match a
-  /// million-client population — but engaging the ladder there costs
-  /// 10-20% end-to-end (pool sweeps evict the service working set) while
-  /// parking it on a real million-client population forfeits a 2x win.
-  /// The workload knows which shape it is. Order-independent with
-  /// configure_sites(); a no-op below kFarEngage or in single-lane mode.
+  /// the pure per-lane heaps, which they keep shallow (RPC timeouts queue
+  /// one event per timeout duration, not one per call). Engaging the
+  /// ladder on an RPC workload cost 10-20% end-to-end when measured (pool
+  /// sweeps evicted the service working set), while parking it on a real
+  /// million-client population forfeits a 2x win; only the workload knows
+  /// which shape it is. Order-independent with configure_sites(); a no-op
+  /// below kFarEngage or in single-lane mode.
   void hint_lane_load(std::size_t expected_pending_per_lane);
 
   /// Schedules `cb` into site `s`'s lane at absolute time `t` — the
@@ -440,6 +467,9 @@ class Simulation {
   static Callback heap_pop(Lane& ln, SimTime* t, std::uint64_t* seq);
   static void sift_up(Lane& ln, std::size_t i);
   static void sift_down(Lane& ln, std::size_t i);
+  /// Removes the queued event with masked sequence `seq` from the heap,
+  /// stage or far pool (destroying its callback). False if not found.
+  static bool remove_queued(Lane& ln, std::uint64_t seq);
 
   static void far_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
   /// Cuts the earliest half of the far pool into the stage rung with

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace bs::rpc {
@@ -178,6 +182,139 @@ TEST_F(RpcTest, ServiceQueueSerializesBeyondConcurrency) {
   sim_.run();
   EXPECT_EQ(done, 8);
   EXPECT_GT(server_->requests_served(), 0u);
+}
+
+TEST_F(RpcTest, CompletedCallLeavesNothingQueued) {
+  auto r = test::run_task(
+      sim_, cluster_.call<EchoReq, EchoResp>(*client_, server_->id(),
+                                             EchoReq{1}));
+  ASSERT_TRUE(r.ok());
+  const SimTime reply = sim_.now();
+  // The settled attempt withdrew its timeout: nothing waits for +30 s.
+  EXPECT_EQ(sim_.pending(), 0u);
+  sim_.run();
+  EXPECT_EQ(sim_.now(), reply);
+}
+
+TEST_F(RpcTest, DroppedRequestTimesOutAtSendTimePlusTimeout) {
+  cluster_.set_link_fault_fn([](net::SiteId, net::SiteId) {
+    return Cluster::LinkFault{true, 0};
+  });
+  sim_.run_until(simtime::seconds(2));
+  CallOptions opts;
+  opts.timeout = simtime::seconds(30);
+  auto r = test::run_task(
+      sim_, cluster_.call<EchoReq, EchoResp>(*client_, server_->id(),
+                                             EchoReq{1}, opts));
+  EXPECT_EQ(r.code(), Errc::timeout);
+  EXPECT_EQ(sim_.now(), simtime::seconds(32));
+  EXPECT_EQ(cluster_.calls_timed_out(), 1u);
+  EXPECT_EQ(cluster_.messages_dropped(), 1u);
+  EXPECT_EQ(sim_.pending(), 0u);
+}
+
+struct CallOutcome {
+  int id;
+  Errc code;
+  SimTime at;
+};
+
+sim::Task<void> call_at(sim::Simulation* sim, Cluster* cluster, Node* from,
+                        NodeId to, int id, SimTime start, SimDuration timeout,
+                        std::vector<CallOutcome>* seen) {
+  co_await sim->delay_until(start);
+  CallOptions opts;
+  opts.timeout = timeout;
+  auto r = co_await cluster->call<EchoReq, EchoResp>(*from, to, EchoReq{id},
+                                                     opts);
+  seen->push_back(CallOutcome{id, r.code(), sim->now()});
+}
+
+TEST_F(RpcTest, MixedTimeoutsExpireInDeadlineOrder) {
+  // Traffic to or from site 0 (server_) is lost; site 2 answers normally.
+  Node* replier = cluster_.add_node(2);
+  replier->serve<EchoReq, EchoResp>(
+      [](const EchoReq& req, const Envelope&) -> sim::Task<Result<EchoResp>> {
+        co_return EchoResp{req.value};
+      });
+  cluster_.set_link_fault_fn([](net::SiteId from, net::SiteId to) {
+    return Cluster::LinkFault{from == 0 || to == 0, 0};
+  });
+  struct Call {
+    int id;
+    double start_s;
+    double timeout_s;
+    NodeId dst;
+  };
+  const NodeId lost = server_->id();
+  const std::vector<Call> calls = {
+      {0, 0, 120, lost},  {1, 10, 30, lost},  {6, 20, 30, replier->id()},
+      {2, 50, 120, lost}, {7, 60, 30, replier->id()},
+      {3, 90, 30, lost},  {5, 95, 30, lost},  {4, 100, 30, lost},
+  };
+  std::vector<CallOutcome> seen;
+  for (const Call& c : calls) {
+    sim_.spawn(call_at(&sim_, &cluster_, client_, c.dst, c.id,
+                       simtime::seconds(c.start_s),
+                       simtime::seconds(c.timeout_s), &seen));
+  }
+  sim_.run();
+
+  std::vector<std::pair<int, SimTime>> timed_out;
+  for (const CallOutcome& o : seen) {
+    if (o.code == Errc::timeout) {
+      timed_out.emplace_back(o.id, o.at);
+    } else {
+      EXPECT_EQ(o.code, Errc::ok) << "call " << o.id;
+    }
+  }
+  // Call 0 (issued at 0 s for 120 s) and call 3 (90 s + 30 s) share the
+  // 120 s deadline; the earlier-issued one times out first.
+  const std::vector<std::pair<int, SimTime>> want = {
+      {1, simtime::seconds(40)},  {0, simtime::seconds(120)},
+      {3, simtime::seconds(120)}, {5, simtime::seconds(125)},
+      {4, simtime::seconds(130)}, {2, simtime::seconds(170)},
+  };
+  EXPECT_EQ(timed_out, want);
+  EXPECT_EQ(seen.size(), calls.size());
+  EXPECT_EQ(cluster_.calls_timed_out(), want.size());
+  EXPECT_EQ(sim_.pending(), 0u);
+  EXPECT_EQ(sim_.now(), simtime::seconds(170));
+}
+
+sim::Task<void> flood(sim::Simulation* sim, Cluster* cluster, Node* from,
+                      NodeId to, int calls, int* rejected, SimTime* last) {
+  CallOptions opts;
+  opts.client = ClientId{666};
+  opts.timeout = simtime::seconds(60);
+  for (int i = 0; i < calls; ++i) {
+    auto r = co_await cluster->call<EchoReq, EchoResp>(*from, to, EchoReq{i},
+                                                       opts);
+    if (r.code() == Errc::blocked) ++*rejected;
+  }
+  *last = std::max(*last, sim->now());
+}
+
+// Regression guard: an admission-rejected flood used to leave one queued
+// timeout watcher per call (10^4 here) until its 60 s deadline.
+TEST_F(RpcTest, RejectedFloodKeepsTheQueueShallow) {
+  server_->set_admission([](const Envelope&, const char*) -> Result<void> {
+    return Error{Errc::blocked, "flooder"};
+  });
+  constexpr int kFlooders = 4;
+  constexpr int kCallsEach = 2500;
+  int rejected = 0;
+  SimTime last = 0;
+  for (int f = 0; f < kFlooders; ++f) {
+    sim_.spawn(flood(&sim_, &cluster_, client_, server_->id(), kCallsEach,
+                     &rejected, &last));
+  }
+  std::size_t peak = sim_.pending();
+  while (sim_.step()) peak = std::max(peak, sim_.pending());
+  EXPECT_EQ(rejected, kFlooders * kCallsEach);
+  EXPECT_EQ(cluster_.calls_timed_out(), 0u);
+  EXPECT_LE(peak, 16u);
+  EXPECT_EQ(sim_.now(), last);
 }
 
 TEST(RpcClusterTest, RetireNodeMakesItUnavailable) {

@@ -121,7 +121,7 @@ TEST(FramePool, MidLifeModeFlipIsSafe) {
 
 TEST(InlineCallbackHeadroom, HotPathCallbackShapesFitInline) {
   // The shapes the hot paths schedule: a bare resume handle, [this, ptr],
-  // [this, u64] guards, and [this, shared_ptr] (the rpc timeout watcher).
+  // [this, u64] guards, and [this, shared_ptr].
   struct Thunk {
     std::coroutine_handle<> h;
     void operator()() const {}

@@ -177,7 +177,7 @@ TEST(RpcAlloc, AdmissionRejectedAttemptBudget) {
     auto r = test::run_task(
         sim, cluster.call<PingReq, PingResp>(*client, server->id(), PingReq{},
                                              opts));
-    sim.run();  // the timeout watcher fires and releases the call state
+    sim.run();  // no-op: the settled attempt withdrew its timeout event
     EXPECT_EQ(r.code(), Errc::blocked);
   };
   attempt();

@@ -20,7 +20,7 @@ Deployment::Deployment(sim::Simulation& sim, DeploymentConfig config)
       sim,
       config_.sites <= 1 ? net::Topology::single_site()
                          : net::Topology::grid5000(config_.sites),
-      config_.fault_seed);
+      config_.fault_seed, config_.site_lanes);
 
   // Manager actors are lightweight control-plane services. The version
   // manager's commit handler legitimately *waits* (ordered publication)

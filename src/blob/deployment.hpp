@@ -33,6 +33,10 @@ struct DeploymentConfig {
   bool start_lease_sweeper{true};
   /// Seed for the cluster's fault/retry RNG (backoff jitter).
   std::uint64_t fault_seed{0xB5FA117ull};
+  /// Shard the simulation into per-site event lanes (rpc::Cluster). Off
+  /// keeps the single-heap reference queue the stepper ablations compare
+  /// against; both execute the same event order.
+  bool site_lanes{true};
   /// Persistent store model for every stateful service (version manager,
   /// metadata providers, data providers). Disabled by default: state
   /// survives crashes intact and restarts are free, exactly as before.

@@ -244,9 +244,11 @@ class Node {
 class Cluster {
  public:
   /// `fault_seed` feeds the RNG used for retry jitter (and nothing else),
-  /// keeping backoff schedules deterministic per seed.
+  /// keeping backoff schedules deterministic per seed. `site_lanes` shards
+  /// the simulation into one event lane per topology site; false keeps the
+  /// single-heap queue, which executes the same order.
   Cluster(sim::Simulation& sim, net::Topology topology,
-          std::uint64_t fault_seed = 0xB5FA117ull);
+          std::uint64_t fault_seed = 0xB5FA117ull, bool site_lanes = true);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 

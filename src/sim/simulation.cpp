@@ -25,38 +25,19 @@ namespace bs::sim {
 // entries never survive a clock advance and the ring's implicit time stays
 // valid.
 
-namespace {
-constexpr bool par_of(std::uint64_t seq) { return (seq & (1ull << 63)) != 0; }
-}  // namespace
-
 Simulation::Simulation() : lanes_(1), heads_(1) {}
 
 void Simulation::schedule_at(SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_current(t, std::move(cb));
-    return;
-  }
-  push_event(exec_lane_, t, next_seq(exec_par_), std::move(cb));
+  push_event(exec_lane_, t, seq_++, std::move(cb));
 }
 
 void Simulation::schedule_resume(std::coroutine_handle<> h) {
-  if (in_worker()) {
-    par_schedule_resume(h);
-    return;
-  }
-  push_event(exec_lane_, now_, next_seq(exec_par_), Callback(ResumeThunk{h}));
-}
-
-Simulation::Ticket Simulation::reserve() {
-  assert(!in_worker() && "reservations are serial-only");
-  return Ticket{next_seq(false), exec_lane_};
+  push_event(exec_lane_, now_, seq_++, Callback(ResumeThunk{h}));
 }
 
 void Simulation::schedule_reserved(Ticket tk, SimTime t, Callback cb) {
-  assert(!in_worker() && "reservations are serial-only");
   assert(t >= now_ && "cannot schedule events in the past");
   Lane& ln = lanes_[tk.lane];
-  ++ln.untagged;
   // Same tiers as push_event, except that an event at the current instant
   // goes to the heap: the ring is FIFO, and this key is older than the
   // entries it may already hold.
@@ -69,10 +50,8 @@ void Simulation::schedule_reserved(Ticket tk, SimTime t, Callback cb) {
 }
 
 void Simulation::cancel_reserved(Ticket tk) {
-  assert(!in_worker() && "reservations are serial-only");
   Lane& ln = lanes_[tk.lane];
   if (!remove_queued(ln, tk.seq)) return;
-  --ln.untagged;
   if (tk.seq != ln.head_seq) return;  // sequence numbers are unique
   // The cancelled event was the lane head. With the near tiers empty the
   // new head is the far pool's minimum, found by a scan: a refill may not
@@ -83,10 +62,9 @@ void Simulation::cancel_reserved(Ticket tk) {
     ht = simtime::kInfinite;
     hs = kNoSeq;
     for (const FarKey& k : ln.far_keys) {
-      const std::uint64_t m = k.seq & kSeqMask;
-      if (k.seq != kNoSeq && (k.time < ht || (k.time == ht && m < hs))) {
+      if (k.seq != kNoSeq && (k.time < ht || (k.time == ht && k.seq < hs))) {
         ht = k.time;
-        hs = m;
+        hs = k.seq;
       }
     }
   }
@@ -97,7 +75,7 @@ void Simulation::cancel_reserved(Ticket tk) {
 
 bool Simulation::remove_queued(Lane& ln, std::uint64_t seq) {
   for (std::size_t i = 0; i < ln.heap.size(); ++i) {
-    if ((ln.heap[i].seq & kSeqMask) != seq) continue;
+    if (ln.heap[i].seq != seq) continue;
     const std::uint32_t slot = ln.heap[i].slot;
     ln.slots[slot] = Callback{};
     ln.free_slots.push_back(slot);
@@ -115,15 +93,12 @@ bool Simulation::remove_queued(Lane& ln, std::uint64_t seq) {
   // Only entries from stage_head on are searched, so an executing stage
   // event (at stage_head - 1) never moves.
   for (std::size_t i = ln.stage_head; i < ln.stage.size(); ++i) {
-    if ((ln.stage[i].seq & kSeqMask) != seq) continue;
+    if (ln.stage[i].seq != seq) continue;
     ln.stage.erase(ln.stage.begin() + static_cast<std::ptrdiff_t>(i));
     return true;
   }
   for (std::size_t i = 0; i < ln.far_keys.size(); ++i) {
-    if (ln.far_keys[i].seq == kNoSeq ||
-        (ln.far_keys[i].seq & kSeqMask) != seq) {
-      continue;
-    }
+    if (ln.far_keys[i].seq != seq) continue;
     ln.far_keys[i] = FarKey{simtime::kInfinite, kNoSeq};
     ln.far_cbs[i] = Callback{};
     ++ln.far_dead;
@@ -156,41 +131,15 @@ void Simulation::hint_lane_load(std::size_t expected_pending_per_lane) {
 }
 
 void Simulation::schedule_on_site(std::size_t site, SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_site(site, t, std::move(cb));
-    return;
-  }
   const std::size_t lane = site_lane(site);
-  if (lane != exec_lane_) {
-    ++cross_site_handoffs_;
-    // A parallel-safe event may only reach another site at or beyond the
-    // lookahead horizon — otherwise a window could have executed the
-    // target lane past the hand-off's arrival time.
-    assert(!exec_par_ || lookahead_ == simtime::kInfinite ||
-           t >= now() + lookahead_);
-  }
-  push_event(lane, t, next_seq(exec_par_), std::move(cb));
-}
-
-void Simulation::schedule_par(std::size_t site, SimTime t, Callback cb) {
-  if (in_worker()) {
-    par_schedule_site(site, t, std::move(cb));
-    return;
-  }
-  const std::size_t lane = site_lane(site);
-  if (lane != exec_lane_) {
-    ++cross_site_handoffs_;
-    assert(!exec_par_ || lookahead_ == simtime::kInfinite ||
-           t >= now() + lookahead_);
-  }
-  push_event(lane, t, next_seq(true), std::move(cb));
+  if (lane != exec_lane_) ++cross_site_handoffs_;
+  push_event(lane, t, seq_++, std::move(cb));
 }
 
 void Simulation::push_event(std::size_t lane, SimTime t, std::uint64_t seq,
                             Callback cb) {
   assert(t >= now_ && "cannot schedule events in the past");
   Lane& ln = lanes_[lane];
-  if (!par_of(seq)) ++ln.untagged;
   if (t <= now_) {
     ring_push(ln, now_, seq, std::move(cb));
     sync_head(lane);
@@ -254,12 +203,12 @@ void Simulation::refill(Lane& ln) {
   assert(ln.far_keys.size() <= 0xffffffffu &&
          "far pool exceeds 32-bit indexing");
   // Build the next ladder rung from 24-byte (time, seq, index) keys — not
-  // the 72-byte entries. Gather every live key once, then cut an exactly
-  // half-pool-sized rung with nth_element: the first excluded key is both
-  // the new bar and the exact minimum of the survivors, so there is no span
-  // heuristic to mistune and no second scan. Rung size scaling with the
-  // pool keeps the total scan work per drained event O(1): a pool of P is
-  // rescanned ~log P times in geometrically shrinking halves.
+  // the 72-byte entries. Gather every live key once, then cut a half-pool
+  // rung with nth_element on time: the first excluded key's time is the new
+  // bar and the minimum time among the survivors, so there is no span
+  // heuristic to mistune. Rung size scaling with the pool keeps the total
+  // scan work per drained event O(1): a pool of P is rescanned ~log P times
+  // in geometrically shrinking halves.
   ln.stage_keys.clear();
   for (std::size_t i = 0; i < ln.far_keys.size(); ++i) {
     const FarKey& k = ln.far_keys[i];
@@ -270,15 +219,29 @@ void Simulation::refill(Lane& ln) {
   }
   const std::size_t live = ln.stage_keys.size();
   const std::size_t target = std::max<std::size_t>(4096, live / 2);
-  SimTime bar = 0;  // sentinel: stage-all, patched to max+1 below
+  bool stage_all = true;  // bar patched to the rung's max+1 below
+  SimTime bar = simtime::kInfinite;
   if (live > target) {
-    const auto mid =
-        ln.stage_keys.begin() + static_cast<std::ptrdiff_t>(target);
+    const auto first = ln.stage_keys.begin();
+    const auto mid = first + static_cast<std::ptrdiff_t>(target);
     std::nth_element(
-        ln.stage_keys.begin(), mid, ln.stage_keys.end(),
-        [](const HeapEntry& a, const HeapEntry& b) { return earlier(a, b); });
+        first, mid, ln.stage_keys.end(),
+        [](const HeapEntry& a, const HeapEntry& b) { return a.time < b.time; });
     bar = mid->time;
-    ln.stage_keys.resize(target);
+    // The cut must not split a run of equal-time events: an event that
+    // runs at `bar` from the stage and schedules at now() queues in the
+    // ring, which would then run it before the same-time survivors left in
+    // the far pool. Stage only keys below the bar, or, when the whole cut
+    // shares the bar's time, every key at that time.
+    auto kept = std::partition(
+        first, mid, [bar](const HeapEntry& k) { return k.time < bar; });
+    if (kept == first) {
+      kept = std::partition(first, ln.stage_keys.end(),
+                            [bar](const HeapEntry& k) { return k.time == bar; });
+    } else {
+      stage_all = false;
+    }
+    ln.stage_keys.resize(static_cast<std::size_t>(kept - first));
   }
   std::sort(
       ln.stage_keys.begin(), ln.stage_keys.end(),
@@ -295,10 +258,11 @@ void Simulation::refill(Lane& ln) {
     ln.far_keys[k.slot] = FarKey{simtime::kInfinite, kNoSeq};
   }
   ln.far_dead += ln.stage.size();
-  if (bar == 0) {
-    // The whole pool was staged; any bar above the rung maximum is correct,
-    // and max+1 is the lowest such bar, which steers near-future pushes to
-    // the cache-resident heap while the lane's far traffic is this light.
+  if (stage_all) {
+    // Every key at or below the rung maximum was staged; any bar above the
+    // maximum is correct, and max+1 is the lowest such bar, which steers
+    // near-future pushes to the cache-resident heap while the lane's far
+    // traffic is this light.
     const SimTime tmax = ln.stage_keys.back().time;
     bar = tmax < simtime::kInfinite - 1 ? tmax + 1 : simtime::kInfinite;
   }
@@ -321,15 +285,11 @@ void Simulation::heap_push(Lane& ln, SimTime t, std::uint64_t seq,
   maybe_raise_head(ln, t, seq);
 }
 
-Simulation::Callback Simulation::heap_pop(Lane& ln, SimTime* t,
-                                          std::uint64_t* seq) {
+Simulation::Callback Simulation::heap_pop(Lane& ln) {
   const HeapEntry top = ln.heap.front();
   ln.heap.front() = ln.heap.back();
   ln.heap.pop_back();
   if (!ln.heap.empty()) sift_down(ln, 0);
-  *t = top.time;
-  *seq = top.seq;
-  if (!par_of(top.seq)) --ln.untagged;
   Callback cb = std::move(ln.slots[top.slot]);
   ln.free_slots.push_back(top.slot);
   return cb;
@@ -373,10 +333,8 @@ void Simulation::ring_push(Lane& ln, SimTime at, std::uint64_t seq,
   maybe_raise_head(ln, at, seq);
 }
 
-Simulation::Callback Simulation::ring_pop(Lane& ln, std::uint64_t* seq) {
+Simulation::Callback Simulation::ring_pop(Lane& ln) {
   NowEvent& e = ln.ring[ln.ring_head];
-  *seq = e.seq;
-  if (!par_of(e.seq)) --ln.untagged;
   Callback cb = std::move(e.cb);
   ln.ring_head = (ln.ring_head + 1) & (ln.ring.size() - 1);
   --ln.ring_size;
@@ -394,51 +352,34 @@ void Simulation::ring_grow(Lane& ln) {
 }
 
 int Simulation::peek_near(const Lane& ln, SimTime at, SimTime* t,
-                          std::uint64_t* masked_seq) {
+                          std::uint64_t* seq) {
   int src = -1;
   SimTime bt = simtime::kInfinite;
   std::uint64_t bs = kNoSeq;
   if (ln.ring_size != 0) {
     bt = at;
-    bs = ring_front_seq(ln);
+    bs = ln.ring[ln.ring_head].seq;
     src = kFromRing;
   }
   if (!ln.heap.empty()) {
     const HeapEntry& root = ln.heap.front();
-    const std::uint64_t m = root.seq & kSeqMask;
-    if (root.time < bt || (root.time == bt && m < bs)) {
+    if (root.time < bt || (root.time == bt && root.seq < bs)) {
       bt = root.time;
-      bs = m;
+      bs = root.seq;
       src = kFromHeap;
     }
   }
   if (ln.stage_head != ln.stage.size()) {
     const FarEntry& front = ln.stage[ln.stage_head];
-    const std::uint64_t m = front.seq & kSeqMask;
-    if (front.time < bt || (front.time == bt && m < bs)) {
+    if (front.time < bt || (front.time == bt && front.seq < bs)) {
       bt = front.time;
-      bs = m;
+      bs = front.seq;
       src = kFromStage;
     }
   }
   *t = bt;
-  *masked_seq = bs;
+  *seq = bs;
   return src;
-}
-
-Simulation::Callback Simulation::pop_near(Lane& ln, int src, SimTime at,
-                                          SimTime* t, std::uint64_t* seq) {
-  if (src == kFromRing) {
-    *t = at;
-    return ring_pop(ln, seq);
-  }
-  if (src == kFromHeap) return heap_pop(ln, t, seq);
-  FarEntry& e = ln.stage[ln.stage_head];
-  ++ln.stage_head;
-  *t = e.time;
-  *seq = e.seq;
-  if (!par_of(e.seq)) --ln.untagged;
-  return std::move(e.cb);
 }
 
 void Simulation::recompute_head(std::size_t lane, SimTime at) {
@@ -487,55 +428,36 @@ bool Simulation::step() {
     if (far_live(ln) == 0) return false;
     refill(ln);
   }
-  // Three-way merge on (time, masked seq): ring entries all carry time ==
-  // now_, stage and heap carry their own keys. peek/pop are split so the
-  // windowed drain can bound the same selection by its horizon.
-  SimTime pt;
-  std::uint64_t pms;
-  const int src = peek_near(ln, now_, &pt, &pms);
+  // Three-way merge on (time, seq): ring entries all carry time == now_,
+  // stage and heap carry their own keys.
+  SimTime t;
+  std::uint64_t seq;
+  const int src = peek_near(ln, now_, &t, &seq);
   assert(src >= 0);
+  assert(t >= now_);
   const std::size_t prev_lane = exec_lane_;
-  const bool prev_par = exec_par_;
+  now_ = t;
+  exec_lane_ = bi;
+  ++processed_;
   if (src == kFromStage) {
     // Stage events run in place: only refill() mutates the stage, and it
     // cannot run under a live rung, so the entry is stable for the whole
     // callback — no move-out, no per-event husk teardown (the rung is
     // destroyed wholesale at the next refill). The head cache refresh
-    // happens after the callback; nothing reads it mid-event in serial
-    // mode, and pushes from the callback only lower it monotonically.
-    FarEntry& e = ln.stage[ln.stage_head];
-    ++ln.stage_head;
-    if (!par_of(e.seq)) --ln.untagged;
-    assert(e.time >= now_);
-    now_ = e.time;
-    exec_lane_ = bi;
-    exec_par_ = par_of(e.seq);
-    ++processed_;
-    e.cb();
+    // happens after the callback; nothing reads it mid-event, and pushes
+    // from the callback only lower it monotonically.
+    ln.stage[ln.stage_head++].cb();
   } else {
-    SimTime t;
-    std::uint64_t seq;
-    Callback cb = pop_near(ln, src, now_, &t, &seq);
-    assert(t >= now_);
-    now_ = t;
-    exec_lane_ = bi;
-    exec_par_ = par_of(seq);
-    ++processed_;
+    Callback cb = src == kFromRing ? ring_pop(ln) : heap_pop(ln);
     cb();
   }
   recompute_head(bi, now_);
   exec_lane_ = prev_lane;
-  exec_par_ = prev_par;
   return true;
 }
 
 void Simulation::run() {
   stopped_ = false;
-  if (windowed()) {
-    while (!stopped_ && window_or_step()) {
-    }
-    return;
-  }
   while (!stopped_ && step()) {
   }
 }
@@ -587,22 +509,15 @@ void Simulation::clear_queue() noexcept {
     ln.stage.clear();
     ln.stage_keys.clear();
     ln.stage_head = 0;
-    while (ln.ring_size != 0) {
-      std::uint64_t seq;
-      ring_pop(ln, &seq);
-    }
+    while (ln.ring_size != 0) ring_pop(ln);
     ln.far_bar = simtime::kInfinite;  // parked
     ln.head_time = simtime::kInfinite;
     ln.head_seq = kNoSeq;
-    ln.untagged = 0;
   }
   for (HeadKey& h : heads_) h = HeadKey{};
 }
 
 Simulation::~Simulation() {
-  // Stop the worker pool before anything else: no thread may touch lanes
-  // while they are being torn down.
-  shutdown_workers();
   // Queued events hold resume handles into frames the roots own; drop them
   // first so nothing dangles, then destroy the still-suspended actor roots
   // (each cascades through the Task chain it owns). Frame-local RAII

@@ -20,12 +20,7 @@
 //    handoffs (RPC envelopes crossing the WAN latency matrix) move lanes
 //    through schedule_on_site()/hop_to_site() and are stamped with the
 //    global sequence counter, keeping the merged order identical.
-//  * An opt-in windowed stepper (set_worker_threads / BS_SIM_THREADS) runs
-//    lanes whose heads fall inside the conservative lookahead horizon (the
-//    topology's minimum cross-site latency) on worker threads; only events
-//    scheduled through the parallel-safe APIs (schedule_par and their
-//    descendants) are eligible, everything else serializes. See
-//    lane_runtime.cpp for the barrier-merge determinism argument.
+//  * The kernel is single-threaded: lanes shard the queue, not the work.
 //  * Events carry an InlineCallback (small-buffer-optimized, move-only)
 //    instead of a std::function, and coroutine frames come from the
 //    size-bucketed FramePool, so steady-state scheduling is allocation-free.
@@ -146,17 +141,6 @@ class InlineCallback {
   const Ops* ops_{nullptr};
 };
 
-namespace detail {
-/// Thread-local view of the lane a worker thread is currently executing
-/// inside a parallel window (null on the coordinator and in serial mode).
-/// Declared here so Simulation::now() stays inline; the full LaneRun lives
-/// in lane_runtime.cpp.
-struct LaneRunBase {
-  SimTime local_now{0};
-};
-inline thread_local LaneRunBase* t_lane_run = nullptr;
-}  // namespace detail
-
 class Simulation {
  public:
   using Callback = InlineCallback;
@@ -166,12 +150,7 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  [[nodiscard]] SimTime now() const {
-    if (par_active_) {
-      if (const auto* lr = detail::t_lane_run) return lr->local_now;
-    }
-    return now_;
-  }
+  [[nodiscard]] SimTime now() const { return now_; }
 
   void schedule_at(SimTime t, Callback cb);
   void schedule_in(SimDuration dt, Callback cb) {
@@ -200,9 +179,8 @@ class Simulation {
   };
 
   /// Takes the next sequence number in the executing event's lane without
-  /// queueing anything. The reserved event is never parallel-safe (the
-  /// mark is cleared), and reserving is serial-only.
-  [[nodiscard]] Ticket reserve();
+  /// queueing anything.
+  [[nodiscard]] Ticket reserve() { return Ticket{seq_++, exec_lane_}; }
 
   /// Queues `cb` at time t under `tk`'s key: it runs after every event
   /// scheduled before the reservation and before every event at t
@@ -222,7 +200,8 @@ class Simulation {
   /// Shards the queue into `sites` per-site lanes (plus the control lane 0)
   /// with the given conservative lookahead horizon — normally the
   /// topology's min_cross_site_latency(). Events already queued stay in
-  /// lane 0. Called by rpc::Cluster unless BS_SIM_LANES=off.
+  /// lane 0. Called by rpc::Cluster unless its `site_lanes` option is off.
+  /// The kernel does not act on the horizon; lookahead() reports it.
   void configure_sites(std::size_t sites, SimDuration lookahead);
   [[nodiscard]] std::size_t site_lane_count() const {
     return lanes_.size() - 1;
@@ -248,13 +227,6 @@ class Simulation {
   /// order. With no site lanes configured this is schedule_at().
   void schedule_on_site(std::size_t site, SimTime t, Callback cb);
 
-  /// Parallel-safe schedule into site `s`'s lane: the event (and every
-  /// event it transitively schedules) is marked eligible for the windowed
-  /// parallel stepper. Contract — a parallel-safe callback must touch only
-  /// state owned by its site, must not log/trace, and a cross-site
-  /// schedule_par must carry at least lookahead() of delay.
-  void schedule_par(std::size_t site, SimTime t, Callback cb);
-
   /// Awaitable: suspend and resume in site `s`'s lane after `dt` — how an
   /// RPC envelope crosses the WAN latency matrix into its destination
   /// site's lane.
@@ -272,21 +244,13 @@ class Simulation {
     return Awaiter{this, site, dt};
   }
 
-  /// Cross-lane handoffs stamped so far (serial + windowed).
+  /// Cross-lane handoffs stamped so far.
   [[nodiscard]] std::uint64_t cross_site_handoffs() const {
     return cross_site_handoffs_;
   }
 
-  // --------------------------------------------------------------- threads
-
-  /// Enables the opt-in windowed parallel stepper with `n` worker threads
-  /// (0 disables it — the default). Only run() windows; run_until() and
-  /// step() always execute serially. Read from BS_SIM_THREADS by
-  /// rpc::Cluster.
-  void set_worker_threads(unsigned n);
-  [[nodiscard]] unsigned worker_threads() const { return workers_; }
-  /// Windows executed by the parallel stepper (0 in serial mode).
-  [[nodiscard]] std::uint64_t windows_run() const { return windows_run_; }
+  /// Always 0 (the kernel is single-threaded); kept for perfbench's report.
+  [[nodiscard]] unsigned worker_threads() const { return 0; }
 
   // ------------------------------------------------------------- execution
 
@@ -359,27 +323,21 @@ class Simulation {
 
   // ------------------------------------------------------------ event queue
 
-  /// Bit 63 of an event's sequence word marks it parallel-safe; ordering
-  /// always compares the masked value, so the mark never perturbs the
-  /// global (time, seq) total order.
-  static constexpr std::uint64_t kParBit = 1ull << 63;
-  static constexpr std::uint64_t kSeqMask = kParBit - 1;
   static constexpr std::uint64_t kNoSeq = ~0ull;
 
   /// Heap key: 24 bytes, trivially movable. The callback body lives in
   /// lane.slots[slot]; sifting never touches it.
   struct HeapEntry {
     SimTime time;
-    std::uint64_t seq;  ///< kParBit | sequence
+    std::uint64_t seq;
     std::uint32_t slot;
   };
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
-    return (a.seq & kSeqMask) < (b.seq & kSeqMask);
+    return a.seq < b.seq;
   }
 
-  /// Same-time FIFO lane entry (time is implicitly the lane's current
-  /// time — now_ in serial mode, the worker's local clock in a window).
+  /// Same-time FIFO lane entry (time is implicitly now_).
   struct NowEvent {
     std::uint64_t seq;
     Callback cb;
@@ -406,7 +364,7 @@ class Simulation {
   /// One per-site event shard. Four tiers, one (time, seq) order:
   ///  * ring  — FIFO of events at the current time (implicit time).
   ///  * stage — the current ladder rung: the chunk of far-pool events below
-  ///            far_bar, sorted by (time, masked seq) at refill time and
+  ///            far_bar, sorted by (time, seq) at refill time and
   ///            consumed by a sequential cursor. Pops are a linear read
   ///            with the callback inline — no sift, no slot indirection.
   ///            (Gathering bodies at refill, not pop, is deliberate: the
@@ -422,14 +380,16 @@ class Simulation {
   ///            exists in sharded mode (the single-lane oracle keeps the
   ///            pure PR-5 heap) and only once the workload engages it via
   ///            hint_lane_load(). When the near tiers drain, a refill cuts
-  ///            the half-pool of earliest far events into the stage with
-  ///            nth_element and advances far_bar — each event is appended
-  ///            once and moved ~once, instead of sifting through a
+  ///            the earliest half of the far pool into the stage with
+  ///            nth_element on time and advances far_bar — each event is
+  ///            appended once and moved ~once, instead of sifting through a
   ///            million-entry heap.
   /// Invariant: far_bar rises monotonically; every stage and heap entry was
-  /// placed with time < far_bar and every far entry with time >= far_bar,
-  /// so min(ring, stage front, heap root) is the true lane head whenever a
-  /// near tier is non-empty.
+  /// placed with time < far_bar and every far entry with time >= far_bar.
+  /// A refill cuts on time, never inside a run of equal-time events, so
+  /// min(ring, stage front, heap root) is the true lane head whenever a
+  /// near tier is non-empty — including for an event scheduled at now(),
+  /// which the ring runs after every other event at that instant.
   struct Lane {
     std::vector<HeapEntry> heap;  // 4-ary implicit heap (late insertions)
     std::vector<Callback> slots;  // heap callback bodies
@@ -447,34 +407,31 @@ class Simulation {
     /// empty, everything routes to the heap); engage_far() lowers it once
     /// the workload hints a large population, and afterwards it only rises.
     SimTime far_bar{simtime::kInfinite};
-    SimTime head_time{simtime::kInfinite};  ///< cached min key (masked seq)
+    SimTime head_time{simtime::kInfinite};  ///< cached min key
     std::uint64_t head_seq{kNoSeq};
-    std::size_t untagged{0};  ///< events without the parallel-safe mark
   };
 
-  [[nodiscard]] std::uint64_t next_seq(bool par) {
-    const std::uint64_t s = seq_++;
-    return par ? (s | kParBit) : s;
-  }
   [[nodiscard]] std::size_t site_lane(std::size_t site) const {
     if (lanes_.size() == 1) return 0;
     return site + 1 < lanes_.size() ? site + 1 : 0;
   }
 
   static void heap_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
-  /// Pops the lane's heap root; returns its callback (slot recycled) and
-  /// the entry key. Does NOT refresh the head cache.
-  static Callback heap_pop(Lane& ln, SimTime* t, std::uint64_t* seq);
+  /// Pops the lane's heap root; returns its callback (slot recycled).
+  /// Does NOT refresh the head cache.
+  static Callback heap_pop(Lane& ln);
   static void sift_up(Lane& ln, std::size_t i);
   static void sift_down(Lane& ln, std::size_t i);
-  /// Removes the queued event with masked sequence `seq` from the heap,
+  /// Removes the queued event with sequence `seq` from the heap,
   /// stage or far pool (destroying its callback). False if not found.
   static bool remove_queued(Lane& ln, std::uint64_t seq);
 
   static void far_push(Lane& ln, SimTime t, std::uint64_t seq, Callback cb);
   /// Cuts the earliest half of the far pool into the stage rung with
-  /// nth_element and advances far_bar to the first excluded key's time.
-  /// Guarantees at least one event moves when the far pool is non-empty.
+  /// nth_element and advances far_bar to the first excluded key's time;
+  /// keys at that time stay in the pool, unless they are the whole cut,
+  /// which then takes that entire time. Guarantees at least one event
+  /// moves when the far pool is non-empty.
   static void refill(Lane& ln);
   /// Hinted per-lane load at or above which hint_lane_load() engages the
   /// far ladders. Below it the pure per-lane heap is both faster and far
@@ -496,20 +453,13 @@ class Simulation {
   [[nodiscard]] static std::size_t far_live(const Lane& ln) {
     return ln.far_keys.size() - ln.far_dead;
   }
-  /// Smallest (time, masked seq) key across the near tiers (`at` is the
-  /// implicit ring time). Returns the owning tier, or -1 when all empty.
+  /// Smallest (time, seq) key across the near tiers (`at` is the implicit
+  /// ring time). Returns the owning tier, or -1 when all empty.
   static int peek_near(const Lane& ln, SimTime at, SimTime* t,
-                       std::uint64_t* masked_seq);
-  /// Pops the entry peek_near() selected; returns its callback and raw key.
-  /// Does NOT refresh the head cache.
-  static Callback pop_near(Lane& ln, int src, SimTime at, SimTime* t,
-                           std::uint64_t* seq);
+                       std::uint64_t* seq);
 
   static void ring_push(Lane& ln, SimTime at, std::uint64_t seq, Callback cb);
-  static Callback ring_pop(Lane& ln, std::uint64_t* seq);
-  [[nodiscard]] static std::uint64_t ring_front_seq(const Lane& ln) {
-    return ln.ring[ln.ring_head].seq & kSeqMask;
-  }
+  static Callback ring_pop(Lane& ln);
   static void ring_grow(Lane& ln);
 
   /// Refreshes lane `lane`'s cached head key from the ring front / heap
@@ -522,14 +472,13 @@ class Simulation {
     heads_[lane] = HeadKey{ln.head_time, ln.head_seq};
   }
   static void maybe_raise_head(Lane& ln, SimTime t, std::uint64_t seq) {
-    const std::uint64_t m = seq & kSeqMask;
-    if (t < ln.head_time || (t == ln.head_time && m < ln.head_seq)) {
+    if (t < ln.head_time || (t == ln.head_time && seq < ln.head_seq)) {
       ln.head_time = t;
-      ln.head_seq = m;
+      ln.head_seq = seq;
     }
   }
 
-  /// Enqueues into `lane` at time t (ring when t <= now_). Serial only.
+  /// Enqueues into `lane` at time t (ring when t <= now_).
   void push_event(std::size_t lane, SimTime t, std::uint64_t seq,
                   Callback cb);
   /// Lane index holding the globally smallest head key, or lanes_.size()
@@ -538,29 +487,6 @@ class Simulation {
 
   /// Drops every queued event without running it (teardown).
   void clear_queue() noexcept;
-
-  // -------------------------------------------------------- parallel window
-  // Implemented in lane_runtime.cpp (the only threaded file in src/sim).
-
-  struct ParRuntime;
-  friend struct ParRuntime;
-
-  [[nodiscard]] bool windowed() const {
-    return workers_ != 0 && lanes_.size() > 2;
-  }
-  /// True on a worker thread inside a parallel window — schedule_* calls
-  /// then route through the lane-local par_* paths.
-  [[nodiscard]] bool in_worker() const {
-    return par_active_ && detail::t_lane_run != nullptr;
-  }
-  /// One windowed iteration: runs a parallel window when eligible, else a
-  /// single serial step. Returns false when the queue is empty.
-  bool window_or_step();
-  /// Worker-context scheduling (routed from schedule_* when par_active_).
-  void par_schedule_current(SimTime t, Callback cb);
-  void par_schedule_site(std::size_t site, SimTime t, Callback cb);
-  void par_schedule_resume(std::coroutine_handle<> h);
-  void shutdown_workers() noexcept;
 
   // ---------------------------------------------------------- tracked roots
 
@@ -611,10 +537,8 @@ class Simulation {
   /// per serial step, and scanning one flat array touches 2-3 cache lines
   /// for a 9-site deployment instead of one — usually cold — line per
   /// Lane struct. The Lane fields stay the source of truth: the mirror is
-  /// resynced wherever a head can change under the serial stepper
-  /// (push_event, recompute_head, clear_queue); inside a parallel window
-  /// workers mutate only their own Lane's head, and the barrier resyncs
-  /// every drained lane via recompute_head before the next best_lane().
+  /// resynced wherever a head can change (push_event, schedule_reserved,
+  /// cancel_reserved, recompute_head, clear_queue).
   struct HeadKey {
     SimTime time{simtime::kInfinite};
     std::uint64_t seq{kNoSeq};
@@ -626,15 +550,10 @@ class Simulation {
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};
   std::uint64_t cross_site_handoffs_{0};
-  std::uint64_t windows_run_{0};
   SimDuration lookahead_{simtime::kInfinite};
   std::size_t lane_load_hint_{0};  ///< hint_lane_load(), kept for reconfigure
   std::size_t exec_lane_{0};  ///< lane of the event currently executing
-  bool exec_par_{false};      ///< it carries the parallel-safe mark
-  bool par_active_{false};    ///< a parallel window is in flight
   bool stopped_{false};
-  unsigned workers_{0};
-  ParRuntime* par_{nullptr};  // owned; deleted by shutdown_workers()
   RootTask::promise_type* roots_{nullptr};
   std::size_t live_roots_{0};
 };

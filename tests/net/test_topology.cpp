@@ -1,8 +1,7 @@
 // Topology latency-matrix properties: the symmetric/positive invariants the
 // sharded simulation leans on, and a pinned grid5000 lookahead value so an
 // accidental change to the WAN matrix (which silently widens or shrinks the
-// conservative lookahead horizon) fails loudly instead of perturbing every
-// windowed run.
+// conservative lookahead horizon and every cross-site delay) fails loudly.
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
@@ -14,7 +13,7 @@ namespace {
 TEST(Topology, Grid5000MinCrossSiteLatencyPinned) {
   // The grid5000 WAN matrix is 4-12 ms; the minimum one-way edge — the
   // conservative lookahead horizon — is exactly 4 ms. Pinned: changing the
-  // matrix changes every windowed schedule's eligibility.
+  // matrix changes every cross-site arrival time.
   const Topology topo = Topology::grid5000();
   EXPECT_EQ(topo.min_cross_site_latency(), simtime::millis(4.0));
 }

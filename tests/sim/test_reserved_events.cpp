@@ -22,7 +22,7 @@ class ReservedEvents : public ::testing::TestWithParam<Mode> {
  protected:
   ReservedEvents() {
     // A simulation without configure_sites() is the single-lane oracle
-    // (what BS_SIM_LANES=off selects in rpc::Cluster).
+    // (what site_lanes=false selects in rpc::Cluster).
     if (GetParam() == Mode::single_lane) return;
     sim_.configure_sites(3, simtime::millis(5));
     // Far above the ladder's engage threshold: every lane stages its
@@ -80,16 +80,6 @@ TEST_P(ReservedEvents, LaterTimesAndDeferredSchedule) {
   sim_.run();
   EXPECT_EQ(order_, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(sim_.now(), simtime::millis(20));
-}
-
-TEST_P(ReservedEvents, ClearsTheParallelSafeMark) {
-  Simulation::Ticket tk{};
-  sim_.schedule_par(1, simtime::millis(1), [&] { tk = sim_.reserve(); });
-  sim_.run();
-  EXPECT_EQ(tk.seq >> 63, 0u);
-  // The reservation sits right after the parallel-safe event's own key.
-  const Simulation::Ticket next = sim_.reserve();
-  EXPECT_EQ(next.seq, tk.seq + 1);
 }
 
 TEST_P(ReservedEvents, CancelledEventNeverRuns) {

@@ -285,54 +285,6 @@ TEST_F(BslintFlowTest, FlowFindingSuppressibleAtAttributedCallSite) {
   EXPECT_EQ(count_rule(res.fresh, "det-wallclock"), 1);
 }
 
-// ------------------------------------------- flow: par-tagged scheduling
-
-TEST_F(BslintFlowTest, IndirectUnsitedScheduleFromParRootIsFound) {
-  // The seeded acceptance fixture: a par-tagged root reaching a bare
-  // schedule_at through a helper hop.
-  write("src/p/a.cpp",
-        "void schedule_at(int);\n"
-        "void rearm_hop() { schedule_at(3); }\n"
-        "// bslint: par-root: timer rearm runs in the owning site lane\n"
-        "void shard_rearm() { rearm_hop(); }\n");
-  const RunResult res = run_tree();
-  const Finding* f = find_rule(res.fresh, "par-cross-site-schedule");
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->chain.find("shard_rearm() -> rearm_hop() -> schedule_at()"),
-            std::string::npos)
-      << f->chain;
-}
-
-TEST_F(BslintFlowTest, SitingBarrierStopsParTraversal) {
-  // Routing through par_schedule_site IS the contract — the traversal must
-  // stop at the barrier and report nothing.
-  write("src/p/b.cpp",
-        "void schedule_at(int);\n"
-        "void par_schedule_site(int);\n"
-        "void sited_hop() { par_schedule_site(1); }\n"
-        "// bslint: par-root: rebalance events are site-tagged at the source\n"
-        "void shard_rebalance() { sited_hop(); }\n");
-  const RunResult res = run_tree();
-  EXPECT_EQ(find_rule(res.fresh, "par-cross-site-schedule"), nullptr);
-}
-
-TEST_F(BslintFlowTest, FunctorPassedToScheduleParIsARoot) {
-  // The PR 7 idiom: schedule_par(site, t, Tick{&shard, i}) — the functor's
-  // operator() becomes a par root without any marker comment.
-  write("src/p/c.cpp",
-        "void schedule_at(int);\n"
-        "void schedule_par(int, int, int);\n"
-        "struct Tick {\n"
-        "  void operator()() { schedule_at(7); }\n"
-        "};\n"
-        "void kick() { schedule_par(0, 1, Tick{}); }\n");
-  const RunResult res = run_tree();
-  const Finding* f = find_rule(res.fresh, "par-cross-site-schedule");
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->message.find("Tick::operator()"), std::string::npos)
-      << f->message;
-}
-
 // ----------------------------------------------------- coro-ref-escape
 
 TEST_F(BslintFlowTest, TemporaryToRefParamOfCoroutineFlaggedCrossTU) {
@@ -583,16 +535,6 @@ TEST_F(BslintFlowTest, UnknownFormatIsAUsageError) {
   write("src/g/c.cpp", "int main() { return 0; }\n");
   std::string out;
   EXPECT_EQ(cli({"--format=yaml", "src"}, &out), 2);
-}
-
-// ------------------------------------------------------ par-root grammar
-
-TEST_F(BslintFlowTest, ParRootMarkerNeedsARationale) {
-  write("src/m/a.cpp",
-        "// bslint: par-root:\n"
-        "void bare() {}\n");
-  const RunResult res = run_tree();
-  EXPECT_EQ(count_rule(res.fresh, "hyg-bare-allow"), 1);
 }
 
 }  // namespace

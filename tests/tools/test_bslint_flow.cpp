@@ -537,5 +537,20 @@ TEST_F(BslintFlowTest, UnknownFormatIsAUsageError) {
   EXPECT_EQ(cli({"--format=yaml", "src"}, &out), 2);
 }
 
+// ------------------------------------------------------ par-root grammar
+
+TEST_F(BslintFlowTest, ParRootMarkerNeedsARationale) {
+  // The par-root marker is gone from the grammar, so any leftover marker,
+  // with or without a rationale, is a malformed bslint comment.
+  write("src/m/a.cpp",
+        "// bslint: par-root:\n"
+        "void bare() {}\n"
+        "// bslint: par-root: timer rearm runs in the owning site lane\n"
+        "void rearm() {}\n");
+  const RunResult res = run_tree();
+  EXPECT_EQ(count_rule(res.fresh, "hyg-bad-allow"), 2);
+  EXPECT_EQ(count_rule(res.fresh, "hyg-bare-allow"), 0);
+}
+
 }  // namespace
 }  // namespace bs::lint
